@@ -27,8 +27,8 @@ const (
 // (roofline/* and kernel/*/cells_per_sec) for -bench-out.
 func runRoofline(spec fdtd.Spec, workers []int, quiet bool) []obs.BenchEntry {
 	if !quiet {
-		fmt.Printf("roofline: grid %dx%dx%d, stream probe %d elements x3...\n",
-			spec.NX, spec.NY, spec.NZ, streamElems)
+		fmt.Printf("roofline: grid %dx%dx%d, stencil path %s, stream probe %d elements x3...\n",
+			spec.NX, spec.NY, spec.NZ, fdtd.StencilPath(), streamElems)
 	}
 	probe := machine.StreamTriad(streamElems, streamIters)
 	bound := probe.BytesPerSec / fdtd.KernelBytesPerCell

@@ -86,6 +86,13 @@ type farField struct {
 	A, F         []float64
 	compA, compF []float64 // Neumaier compensation terms (compensated mode)
 	compensated  bool
+
+	// delays holds delay(i, j, k) for every surface point of the block
+	// delayXR x delayYR, in accumulate's visit order; accumulate builds
+	// it on its first call for a block.
+	delays           []int32
+	delayXR, delayYR grid.Range
+	haveDelays       bool
 }
 
 // newFarField prepares accumulators for the given spec; compensated
@@ -136,8 +143,8 @@ func (ff *farField) delay(i, j, k int) int {
 
 // addPoint adds one surface point's projected equivalent currents
 // (J = n x H, M = -(n x E), both projected onto pol) to the potential
-// samples at the point's delayed time index.
-func (ff *farField) addPoint(face, i, j, k, n int, e0, e1, e2, h0, h1, h2 float64) {
+// samples at time index m: the step plus the point's delay.
+func (ff *farField) addPoint(face, m int, e0, e1, e2, h0, h1, h2 float64) {
 	nv := faceNormals[face]
 	jx := nv[1]*h2 - nv[2]*h1
 	jy := nv[2]*h0 - nv[0]*h2
@@ -147,7 +154,6 @@ func (ff *farField) addPoint(face, i, j, k, n int, e0, e1, e2, h0, h1, h2 float6
 	mz := -(nv[0]*e1 - nv[1]*e0)
 	a := jx*ff.pol[0] + jy*ff.pol[1] + jz*ff.pol[2]
 	f := mx*ff.pol[0] + my*ff.pol[1] + mz*ff.pol[2]
-	m := n + ff.delay(i, j, k)
 	if ff.compensated {
 		ff.A[m], ff.compA[m] = neumaierAdd(ff.A[m], ff.compA[m], a)
 		ff.F[m], ff.compF[m] = neumaierAdd(ff.F[m], ff.compF[m], f)
@@ -165,12 +171,30 @@ func (ff *farField) addPoint(face, i, j, k, n int, e0, e1, e2, h0, h1, h2 float6
 // The loops repeat forEachSurface's clamped enumeration — same faces,
 // same order, same per-point arithmetic (via addPoint) — but read the
 // fields through contiguous row views on the constant-x and constant-y
-// faces, where the inner loop runs along z, instead of six At calls per
-// point.  Because neither the visit order nor any expression changes,
-// the accumulated potentials stay bitwise identical to the per-point
-// form; forEachSurface remains the order's definition and serves the
-// setup scan in newFarField.
+// faces, where the inner loop runs along z, and through one shared
+// storage offset on the constant-z faces, instead of six At calls per
+// point.  Each point's delay, which depends only on the point, comes
+// from a table built once per block by walking forEachSurface.
+// Because neither the visit order nor any expression changes, the
+// accumulated potentials stay bitwise identical to the per-point form;
+// forEachSurface remains the order's definition.
+//
+// The six field grids must share one layout (the same extents and
+// ghost widths), as every caller's do.
 func (ff *farField) accumulate(n int, ex, ey, ez, hx, hy, hz *grid.G3, xr, yr grid.Range) int {
+	for _, g := range [...]*grid.G3{ey, ez, hx, hy, hz} {
+		if g.StrideX() != ex.StrideX() || g.StrideY() != ex.StrideY() || g.Index(0, 0, 0) != ex.Index(0, 0, 0) {
+			panic("fdtd: far-field grids differ in layout")
+		}
+	}
+	if !ff.haveDelays || xr != ff.delayXR || yr != ff.delayYR {
+		ff.delays = ff.delays[:0]
+		forEachSurface(ff.spec, xr.Lo, xr.Hi, yr.Lo, yr.Hi, func(_, i, j, k int) {
+			ff.delays = append(ff.delays, int32(ff.delay(i, j, k)))
+		})
+		ff.delayXR, ff.delayYR, ff.haveDelays = xr, yr, true
+	}
+	delays := ff.delays
 	spec := ff.spec
 	off := spec.FarField.Offset
 	x0, x1 := off, spec.NX-1-off
@@ -206,8 +230,9 @@ func (ff *farField) accumulate(n int, ex, ey, ez, hx, hy, hz *grid.G3, xr, yr gr
 			hxR := hx.RowFrom(li, lj, z0, nz)[:len(exR)]
 			hyR := hy.RowFrom(li, lj, z0, nz)[:len(exR)]
 			hzR := hz.RowFrom(li, lj, z0, nz)[:len(exR)]
+			d := delays[points:][:len(exR)]
 			for kk := range exR {
-				ff.addPoint(face, x, j, z0+kk, n, exR[kk], eyR[kk], ezR[kk], hxR[kk], hyR[kk], hzR[kk])
+				ff.addPoint(face, n+int(d[kk]), exR[kk], eyR[kk], ezR[kk], hxR[kk], hyR[kk], hzR[kk])
 			}
 			points += len(exR)
 		}
@@ -226,22 +251,25 @@ func (ff *farField) accumulate(n int, ex, ey, ez, hx, hy, hz *grid.G3, xr, yr gr
 			hxR := hx.RowFrom(li, lj, z0, nz)[:len(exR)]
 			hyR := hy.RowFrom(li, lj, z0, nz)[:len(exR)]
 			hzR := hz.RowFrom(li, lj, z0, nz)[:len(exR)]
+			d := delays[points:][:len(exR)]
 			for kk := range exR {
-				ff.addPoint(2+fi, i, y, z0+kk, n, exR[kk], eyR[kk], ezR[kk], hxR[kk], hyR[kk], hzR[kk])
+				ff.addPoint(2+fi, n+int(d[kk]), exR[kk], eyR[kk], ezR[kk], hxR[kk], hyR[kk], hzR[kk])
 			}
 			points += len(exR)
 		}
 	}
 	// Faces 4, 5: constant z; the j loop strides across rows, so each
-	// point is a single-element read at the fixed k.
+	// point is a single-element read at the fixed k, at one storage
+	// offset shared by the six grids.
+	exD, eyD, ezD := ex.Data(), ey.Data(), ez.Data()
+	hxD, hyD, hzD := hx.Data(), hy.Data(), hz.Data()
 	for fi, z := range [2]int{z0, z1} {
 		for i := clampXLo; i <= clampXHi; i++ {
 			li := i - xr.Lo
 			for j := clampYLo; j <= clampYHi; j++ {
-				lj := j - yr.Lo
-				ff.addPoint(4+fi, i, j, z, n,
-					ex.At(li, lj, z), ey.At(li, lj, z), ez.At(li, lj, z),
-					hx.At(li, lj, z), hy.At(li, lj, z), hz.At(li, lj, z))
+				o := ex.Index(li, j-yr.Lo, z)
+				ff.addPoint(4+fi, n+int(delays[points]),
+					exD[o], eyD[o], ezD[o], hxD[o], hyD[o], hzD[o])
 				points++
 			}
 		}

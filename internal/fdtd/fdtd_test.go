@@ -2,8 +2,10 @@ package fdtd
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
+	"repro/internal/grid"
 	"repro/internal/machine"
 	"repro/internal/mesh"
 )
@@ -348,6 +350,63 @@ func TestFarFieldDelayProperties(t *testing.T) {
 	}
 	if len(ff.A) != spec.Steps+ff.maxDelay+1 {
 		t.Fatalf("accumulator length %d", len(ff.A))
+	}
+}
+
+// TestFarFieldAccumulateMatchesPerPoint checks accumulate's row views,
+// shared constant-z offsets and cached delay table against the
+// per-point form it optimises: forEachSurface's enumeration, six At
+// reads and a fresh delay per point.  Blocks follow one another on the
+// same accumulators (so the delay table is rebuilt per block), the
+// grids carry x/y ghosts as the parallel builds' do, and both
+// accumulation modes must agree bitwise.
+func TestFarFieldAccumulateMatchesPerPoint(t *testing.T) {
+	spec := SpecSmall()
+	rng := rand.New(rand.NewSource(3))
+	blocks := [][2]grid.Range{
+		{{Lo: 0, Hi: spec.NX}, {Lo: 0, Hi: spec.NY}},
+		{{Lo: 0, Hi: 5}, {Lo: 0, Hi: spec.NY}},
+		{{Lo: 5, Hi: 9}, {Lo: 0, Hi: spec.NY}},
+		{{Lo: 6, Hi: 13}, {Lo: 4, Hi: 10}},
+		{{Lo: 0, Hi: 6}, {Lo: 0, Hi: 4}},
+	}
+	for _, compensated := range []bool{false, true} {
+		fast := newFarField(spec, compensated)
+		ref := newFarField(spec, compensated)
+		for _, b := range blocks {
+			xr, yr := b[0], b[1]
+			gs := make([]*grid.G3, 6)
+			for i := range gs {
+				gs[i] = grid.New3G(xr.Len(), yr.Len(), spec.NZ, 1, 1, 0)
+			}
+			for n := 0; n < 3; n++ {
+				for _, g := range gs {
+					randomizeStorage(rng, g)
+				}
+				got := fast.accumulate(n, gs[0], gs[1], gs[2], gs[3], gs[4], gs[5], xr, yr)
+				want := 0
+				forEachSurface(spec, xr.Lo, xr.Hi, yr.Lo, yr.Hi, func(face, i, j, k int) {
+					li, lj := i-xr.Lo, j-yr.Lo
+					var v [6]float64
+					for c, g := range gs {
+						v[c] = g.At(li, lj, k)
+					}
+					ref.addPoint(face, n+ref.delay(i, j, k), v[0], v[1], v[2], v[3], v[4], v[5])
+					want++
+				})
+				if got != want {
+					t.Fatalf("block x%v y%v step %d: %d points visited, want %d", xr, yr, n, got, want)
+				}
+				for _, pair := range [][2][]float64{{fast.A, ref.A}, {fast.F, ref.F}, {fast.compA, ref.compA}, {fast.compF, ref.compF}} {
+					for m := range pair[1] {
+						if math.Float64bits(pair[0][m]) != math.Float64bits(pair[1][m]) {
+							t.Fatalf("compensated=%v block x%v y%v step %d: sample %d is %v, per-point form %v",
+								compensated, xr, yr, n, m, pair[0][m], pair[1][m])
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -36,10 +36,10 @@ func newFields(spec Spec, xr, yr grid.Range) *Fields {
 // section directly from the spec (the "concurrent I/O" alternative to
 // host scattering: every process derives its own slice of the global
 // data).
-// The loop is the documented example of the row-view idiom the hot
-// kernels use: take one Row per grid, re-slice the rest to the first
-// row's length so the compiler drops the per-element bounds checks,
-// and walk the contiguous z-run.
+// The loop is the documented example of the row-view idiom that
+// stencil and the cold paths use: take one Row per grid, re-slice the
+// rest to the first row's length so the compiler drops the per-element
+// bounds checks, and walk the contiguous z-run.
 func (f *Fields) fillCoefficientsLocal() {
 	for li := 0; li < f.Ca.NX(); li++ {
 		gi := f.XR.Lo + li
@@ -136,22 +136,19 @@ func updateE(f *Fields) int {
 // run concurrently: their writes are disjoint and their reads are of
 // fields no window writes.
 //
-// Every inner loop below walks contiguous z-rows (grid.G3.Row views)
-// with the bounds checks hoisted by the `b = b[:len(a)]` re-slice
-// idiom: once each neighbour row is re-sliced to the primary row's
-// length, the loop condition k < len(row) proves every access in
-// range and the compiler drops the per-element checks, so the loop
-// body is pure branch-free float arithmetic.
+// Each component's update of one pencil column is one stencil call
+// over contiguous z-rows (grid.G3.Row views); the backward z stencils
+// (H at k-1) are the one-shifted pair row[1:] and row[:n-1], so the
+// updated rows start at k = 1.
 //
 // The three component sweeps are fused into one (li, lj) traversal:
 // the coefficient rows (and the shared field rows) are fetched once
-// per pencil column instead of once per component, cutting the memory
-// traffic of the coefficient grids to a third.  Fusing is invisible in
-// the results because no E component reads another E component — the
-// three updates at one column commute — so only independent operations
-// are permuted (Theorem 1 again).  The per-cell expressions are
-// unchanged — see updateERangeRef for the retained per-cell reference
-// kernels the property tests pit these against.
+// per pencil column instead of once per component.  Fusing is
+// invisible in the results because no E component reads another E
+// component — the three updates at one column commute — so only
+// independent operations are permuted (Theorem 1 again).  The per-cell
+// expressions are unchanged — see updateERangeRef for the retained
+// per-cell reference kernels the property tests pit these against.
 func updateERange(f *Fields, li0, li1, lj0, lj1 int) int {
 	count := 0
 	// Components skip the global index 0 along the axes their curl
@@ -171,38 +168,31 @@ func updateERange(f *Fields, li0, li1, lj0, lj1 int) int {
 			if !doI && !doJ {
 				continue
 			}
-			caP := f.Ca.Row(li, lj)
-			cbP := f.Cb.Row(li, lj)[:len(caP)]
-			hxP := f.Hx.Row(li, lj)[:len(caP)]
-			hyP := f.Hy.Row(li, lj)[:len(caP)]
-			hzP := f.Hz.Row(li, lj)[:len(caP)]
-			// Ex: all i; global j >= 1; k >= 1.
+			ca := f.Ca.Row(li, lj)
+			cb := f.Cb.Row(li, lj)
+			hx := f.Hx.Row(li, lj)
+			hy := f.Hy.Row(li, lj)
+			hz := f.Hz.Row(li, lj)
+			n := len(ca)
+			// Ex: all i; global j >= 1; k >= 1.  lj == 0 reads the
+			// lower y ghost.
 			if doJ {
-				exP := f.Ex.Row(li, lj)[:len(caP)]
-				hzJm := f.Hz.Row(li, lj-1)[:len(caP)] // lj == 0 reads the lower y ghost
-				for k := 1; k < len(caP); k++ {
-					exP[k] = caP[k]*exP[k] + cbP[k]*((hzP[k]-hzJm[k])-(hyP[k]-hyP[k-1]))
-				}
-				count += len(caP) - 1
+				stencil(f.Ex.Row(li, lj)[1:], ca[1:], cb[1:],
+					hz[1:], f.Hz.Row(li, lj-1)[1:], hy[1:], hy[:n-1])
+				count += n - 1
 			}
-			// Ey: global i >= 1; all j; k >= 1.
+			// Ey: global i >= 1; all j; k >= 1.  li == 0 reads the
+			// lower x ghost.
 			if doI {
-				eyP := f.Ey.Row(li, lj)[:len(caP)]
-				hzIm := f.Hz.Row(li-1, lj)[:len(caP)] // li == 0 reads the lower x ghost
-				for k := 1; k < len(caP); k++ {
-					eyP[k] = caP[k]*eyP[k] + cbP[k]*((hxP[k]-hxP[k-1])-(hzP[k]-hzIm[k]))
-				}
-				count += len(caP) - 1
+				stencil(f.Ey.Row(li, lj)[1:], ca[1:], cb[1:],
+					hx[1:], hx[:n-1], hz[1:], f.Hz.Row(li-1, lj)[1:])
+				count += n - 1
 			}
 			// Ez: global i >= 1; global j >= 1; all k.
 			if doI && doJ {
-				ezP := f.Ez.Row(li, lj)[:len(caP)]
-				hyIm := f.Hy.Row(li-1, lj)[:len(caP)]
-				hxJm := f.Hx.Row(li, lj-1)[:len(caP)]
-				for k := 0; k < len(caP); k++ {
-					ezP[k] = caP[k]*ezP[k] + cbP[k]*((hyP[k]-hyIm[k])-(hxP[k]-hxJm[k]))
-				}
-				count += len(caP)
+				stencil(f.Ez.Row(li, lj), ca, cb,
+					hy, f.Hy.Row(li-1, lj), hx, f.Hx.Row(li, lj-1))
+				count += n
 			}
 		}
 	}
@@ -235,9 +225,9 @@ func updateHRange(f *Fields, li0, li1, lj0, lj1 int) int {
 	// One fused (li, lj) traversal, same argument as updateERange: no H
 	// component reads another H component, so interleaving the three
 	// updates per pencil column permutes independent operations only.
-	// The forward z stencils (E at k+1) are expressed as one-shifted
-	// row views so the hoist idiom still proves every access: the
-	// written sub-row has length nz-1, and exUp[k] is ex[k+1].
+	// The forward z stencils (E at k+1) are one-shifted row views: the
+	// written row is cut to n-1 cells, stencil cuts every operand to
+	// match, and ex[1:][k] is ex[k+1].
 	for li := li0; li < li1; li++ {
 		doI := li < liEnd // Hy, Hz stop short of the global top i
 		for lj := lj0; lj < lj1; lj++ {
@@ -245,48 +235,31 @@ func updateHRange(f *Fields, li0, li1, lj0, lj1 int) int {
 			if !doI && !doJ {
 				continue
 			}
-			daP := f.Da.Row(li, lj)
-			dbP := f.Db.Row(li, lj)[:len(daP)]
-			exRow := f.Ex.Row(li, lj)[:len(daP)]
-			eyRow := f.Ey.Row(li, lj)[:len(daP)]
-			ezP := f.Ez.Row(li, lj)[:len(daP)]
-			// Hx: all i; global j < ny-1; k < nz-1.
+			da := f.Da.Row(li, lj)
+			db := f.Db.Row(li, lj)
+			ex := f.Ex.Row(li, lj)
+			ey := f.Ey.Row(li, lj)
+			ez := f.Ez.Row(li, lj)
+			n := len(da)
+			// Hx: all i; global j < ny-1; k < nz-1.  lj == nyl-1 reads
+			// the upper y ghost.
 			if doJ {
-				hxRow := f.Hx.Row(li, lj)
-				hxS := hxRow[:len(hxRow)-1]
-				eyP := eyRow[:len(hxS)]
-				eyUp := eyRow[1:][:len(hxS)]
-				ezS := ezP[:len(hxS)]
-				ezJp := f.Ez.Row(li, lj+1)[:len(hxS)] // lj == nyl-1 reads the upper y ghost
-				daS, dbS := daP[:len(hxS)], dbP[:len(hxS)]
-				for k := range hxS {
-					hxS[k] = daS[k]*hxS[k] + dbS[k]*((eyUp[k]-eyP[k])-(ezJp[k]-ezS[k]))
-				}
-				count += len(daP) - 1
+				stencil(f.Hx.Row(li, lj)[:n-1], da, db,
+					ey[1:], ey, f.Ez.Row(li, lj+1), ez)
+				count += n - 1
 			}
-			// Hy: global i < nx-1; all j; k < nz-1.
+			// Hy: global i < nx-1; all j; k < nz-1.  li == nxl-1 reads
+			// the upper x ghost.
 			if doI {
-				hyRow := f.Hy.Row(li, lj)
-				hyS := hyRow[:len(hyRow)-1]
-				ezS := ezP[:len(hyS)]
-				ezIp := f.Ez.Row(li+1, lj)[:len(hyS)] // li == nxl-1 reads the upper x ghost
-				exP := exRow[:len(hyS)]
-				exUp := exRow[1:][:len(hyS)]
-				daS, dbS := daP[:len(hyS)], dbP[:len(hyS)]
-				for k := range hyS {
-					hyS[k] = daS[k]*hyS[k] + dbS[k]*((ezIp[k]-ezS[k])-(exUp[k]-exP[k]))
-				}
-				count += len(daP) - 1
+				stencil(f.Hy.Row(li, lj)[:n-1], da, db,
+					f.Ez.Row(li+1, lj), ez, ex[1:], ex)
+				count += n - 1
 			}
 			// Hz: global i < nx-1; global j < ny-1; all k.
 			if doI && doJ {
-				hzP := f.Hz.Row(li, lj)[:len(daP)]
-				exJp := f.Ex.Row(li, lj+1)[:len(daP)]
-				eyIp := f.Ey.Row(li+1, lj)[:len(daP)]
-				for k := range hzP {
-					hzP[k] = daP[k]*hzP[k] + dbP[k]*((exJp[k]-exRow[k])-(eyIp[k]-eyRow[k]))
-				}
-				count += len(daP)
+				stencil(f.Hz.Row(li, lj), da, db,
+					f.Ex.Row(li, lj+1), ex, f.Ey.Row(li+1, lj), ey)
+				count += n
 			}
 		}
 	}
