@@ -22,7 +22,7 @@ test:
 
 race:
 	$(GO) test -race $(RACE_PKGS)
-	$(GO) test -race -run 'TestTiledKernelDeterminism|TestFastPathIdentity1D|TestKernelPencilVsReferenceProperty' ./internal/fdtd
+	$(GO) test -race -run 'TestTiledKernelDeterminism|TestFastPathIdentity1D|TestFastPathIdentity2D|TestKernelPencilVsReferenceProperty' ./internal/fdtd
 
 # bench runs the runtime benchmarks with allocation reporting, then a
 # P=4 parallel FDTD run (with a measured P=1 baseline) whose headline

@@ -160,11 +160,11 @@ func networks() []network {
 	}
 	const fdtdP = 2
 	spec := fdtdSpecTiny()
-	slabs := grid.SlabDecompose3(spec.NX, spec.NY, spec.NZ, fdtdP, grid.AxisX)
+	topo := mesh.NewTopo2D(spec.NX, spec.NY, fdtdP, 1)
 	fdtdOpt := fdtd.DefaultOptions()
 	fdtdMk := func() []sched.Proc[mesh.Msg, *fdtd.Result] {
 		return mesh.Procs(fdtdP, fdtdOpt.Mesh, func(c *mesh.Comm) *fdtd.Result {
-			return fdtd.SPMD(c, spec, slabs, fdtdOpt)
+			return fdtd.SPMD(c, spec, topo, fdtdOpt)
 		})
 	}
 	return []network{

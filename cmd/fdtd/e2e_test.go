@@ -60,6 +60,7 @@ func TestNetSmoke(t *testing.T) {
 		{"par-inproc", []string{"-build", "par", "-p", "4"}},
 		{"par-socket-tcp", []string{"-build", "par", "-p", "4", "-backend", "socket", "-net", "tcp"}},
 		{"par-socket-unix", []string{"-build", "par", "-p", "4", "-backend", "socket", "-net", "unix"}},
+		{"par-socket-2x2", []string{"-build", "par", "-p", "2", "-py", "2", "-backend", "socket", "-net", "unix"}},
 		{"procs-2-unix", []string{"-build", "par", "-procs", "2", "-net", "unix"}},
 		{"procs-4-tcp", []string{"-build", "par", "-procs", "4", "-net", "tcp"}},
 	}

@@ -169,9 +169,6 @@ func main() {
 		if *build != "par" {
 			usageErr("-backend socket requires -build par (the socket mesh carries real parallel channels)")
 		}
-		if *py > 1 {
-			usageErr("-backend socket supports the 1-D slab decomposition only (py=1)")
-		}
 		if recovery || *injectCrash != "" {
 			usageErr("-backend socket does not compose with crash recovery or -inject-crash")
 		}

@@ -118,6 +118,18 @@ func (r *replicator) forget(node string) {
 	r.mu.Unlock()
 }
 
+// holders returns a copy of the set of nodes that confirmed fp, taken
+// under the lock: markDone writes the live inner map concurrently.
+func (r *replicator) holders(fp uint64) map[string]bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make(map[string]bool, len(r.done[fp]))
+	for name := range r.done[fp] {
+		out[name] = true
+	}
+	return out
+}
+
 // replicaNodes returns the currently-healthy nodes known to hold fp, in
 // placement order: the ring primary (which computed and cached the
 // entry) first, then the successors that confirmed admission.  The
@@ -129,9 +141,7 @@ func (r *replicator) replicaNodes(fp uint64, primary string) []Node {
 	if n, ok := r.member.healthyNode(primary); ok {
 		out = append(out, n)
 	}
-	r.mu.Lock()
-	holders := r.done[fp]
-	r.mu.Unlock()
+	holders := r.holders(fp)
 	for _, name := range r.member.ring.SuccessorsN(fp, r.cfg.Replicas) {
 		if name == primary || !holders[name] {
 			continue
@@ -182,12 +192,7 @@ func (r *replicator) maybeReplicate(fp uint64, primary string) {
 // observation retries.
 func (r *replicator) runReplicate(fp uint64, primary string) {
 	var targets []Node
-	r.mu.Lock()
-	holders := make(map[string]bool, len(r.done[fp]))
-	for name := range r.done[fp] {
-		holders[name] = true
-	}
-	r.mu.Unlock()
+	holders := r.holders(fp)
 	for _, name := range r.member.ring.SuccessorsN(fp, r.cfg.Replicas) {
 		if name == primary || holders[name] {
 			continue

@@ -398,13 +398,32 @@ func RunSequentialUntil(spec Spec, until int) (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
+	res.Spec = spec // the checkpoint belongs to the full run
+	return res.checkpoint(until), nil
+}
+
+// checkpoint returns a result's state as a checkpoint after stepsDone
+// steps (sharing the result's grids and slices).
+func (r *Result) checkpoint(stepsDone int) *Checkpoint {
 	return &Checkpoint{
-		Spec: spec, StepsDone: until,
-		Ex: res.Ex, Ey: res.Ey, Ez: res.Ez,
-		Hx: res.Hx, Hy: res.Hy, Hz: res.Hz,
-		Probe: res.Probe, FarA: res.FarA, FarF: res.FarF,
-		Work: res.Work,
-	}, nil
+		Spec: r.Spec, StepsDone: stepsDone,
+		Ex: r.Ex, Ey: r.Ey, Ez: r.Ez,
+		Hx: r.Hx, Hy: r.Hy, Hz: r.Hz,
+		Probe: r.Probe, FarA: r.FarA, FarF: r.FarF,
+		Work: r.Work,
+	}
+}
+
+// result returns a checkpoint's state as a run result (sharing the
+// checkpoint's grids and slices).
+func (c *Checkpoint) result() *Result {
+	return &Result{
+		Spec: c.Spec,
+		Ex:   c.Ex, Ey: c.Ey, Ez: c.Ez,
+		Hx: c.Hx, Hy: c.Hy, Hz: c.Hz,
+		Probe: c.Probe, FarA: c.FarA, FarF: c.FarF,
+		Work: c.Work,
+	}
 }
 
 // ResumeSequential continues a checkpointed run to completion and
@@ -415,114 +434,12 @@ func ResumeSequential(c *Checkpoint) (*Result, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if spec.Boundary == BoundaryMur1 {
+	if spec.Boundary == BoundaryMur1 && c.StepsDone > 0 {
 		// The Mur state (previous-step boundary planes) is not part of
 		// the checkpoint; restarting mid-run would perturb one boundary
 		// step.  A step-0 checkpoint carries no history, so the run
 		// simply starts over.
-		if c.StepsDone > 0 {
-			return nil, fmt.Errorf("fdtd: resuming Mur-boundary runs mid-stream is not supported")
-		}
-		return RunSequential(spec)
+		return nil, fmt.Errorf("fdtd: resuming Mur-boundary runs mid-stream is not supported")
 	}
-	nx, ny, nz := spec.NX, spec.NY, spec.NZ
-	ex, ey, ez := c.Ex.Clone(), c.Ey.Clone(), c.Ez.Clone()
-	hx, hy, hz := c.Hx.Clone(), c.Hy.Clone(), c.Hz.Clone()
-	ca := grid.New3(nx, ny, nz, 0)
-	cb := grid.New3(nx, ny, nz, 0)
-	da := grid.New3(nx, ny, nz, 0)
-	db := grid.New3(nx, ny, nz, 0)
-	for i := 0; i < nx; i++ {
-		for j := 0; j < ny; j++ {
-			for k := 0; k < nz; k++ {
-				a, b, cc, d := spec.Coefficients(i, j, k)
-				ca.Set(i, j, k, a)
-				cb.Set(i, j, k, b)
-				da.Set(i, j, k, cc)
-				db.Set(i, j, k, d)
-			}
-		}
-	}
-	var ff *farField
-	if spec.IsVersionC() {
-		ff = newFarField(spec, false)
-		copy(ff.A, c.FarA)
-		copy(ff.F, c.FarF)
-	}
-	probe := append([]float64(nil), c.Probe...)
-	work := c.Work
-
-	// The loop body below is RunSequential's, picking up at StepsDone.
-	for n := c.StepsDone; n < spec.Steps; n++ {
-		for i := 0; i < nx; i++ {
-			for j := 1; j < ny; j++ {
-				for k := 1; k < nz; k++ {
-					ex.Set(i, j, k, ca.At(i, j, k)*ex.At(i, j, k)+
-						cb.At(i, j, k)*((hz.At(i, j, k)-hz.At(i, j-1, k))-(hy.At(i, j, k)-hy.At(i, j, k-1))))
-					work++
-				}
-			}
-		}
-		for i := 1; i < nx; i++ {
-			for j := 0; j < ny; j++ {
-				for k := 1; k < nz; k++ {
-					ey.Set(i, j, k, ca.At(i, j, k)*ey.At(i, j, k)+
-						cb.At(i, j, k)*((hx.At(i, j, k)-hx.At(i, j, k-1))-(hz.At(i, j, k)-hz.At(i-1, j, k))))
-					work++
-				}
-			}
-		}
-		for i := 1; i < nx; i++ {
-			for j := 1; j < ny; j++ {
-				for k := 0; k < nz; k++ {
-					ez.Set(i, j, k, ca.At(i, j, k)*ez.At(i, j, k)+
-						cb.At(i, j, k)*((hy.At(i, j, k)-hy.At(i-1, j, k))-(hx.At(i, j, k)-hx.At(i, j-1, k))))
-					work++
-				}
-			}
-		}
-		addSource(ez, spec, n, grid.Range{Lo: 0, Hi: nx}, grid.Range{Lo: 0, Hi: ny})
-		for i := 0; i < nx; i++ {
-			for j := 0; j < ny-1; j++ {
-				for k := 0; k < nz-1; k++ {
-					hx.Set(i, j, k, da.At(i, j, k)*hx.At(i, j, k)+
-						db.At(i, j, k)*((ey.At(i, j, k+1)-ey.At(i, j, k))-(ez.At(i, j+1, k)-ez.At(i, j, k))))
-					work++
-				}
-			}
-		}
-		for i := 0; i < nx-1; i++ {
-			for j := 0; j < ny; j++ {
-				for k := 0; k < nz-1; k++ {
-					hy.Set(i, j, k, da.At(i, j, k)*hy.At(i, j, k)+
-						db.At(i, j, k)*((ez.At(i+1, j, k)-ez.At(i, j, k))-(ex.At(i, j, k+1)-ex.At(i, j, k))))
-					work++
-				}
-			}
-		}
-		for i := 0; i < nx-1; i++ {
-			for j := 0; j < ny-1; j++ {
-				for k := 0; k < nz; k++ {
-					hz.Set(i, j, k, da.At(i, j, k)*hz.At(i, j, k)+
-						db.At(i, j, k)*((ex.At(i, j+1, k)-ex.At(i, j, k))-(ey.At(i+1, j, k)-ey.At(i, j, k))))
-					work++
-				}
-			}
-		}
-		probe = append(probe, ez.At(spec.Probe[0], spec.Probe[1], spec.Probe[2]))
-		if ff != nil {
-			work += float64(ff.accumulate(n, ex, ey, ez, hx, hy, hz, grid.Range{Lo: 0, Hi: nx}, grid.Range{Lo: 0, Hi: ny}))
-		}
-	}
-
-	res := &Result{
-		Spec: spec,
-		Ex:   ex, Ey: ey, Ez: ez, Hx: hx, Hy: hy, Hz: hz,
-		Probe: probe,
-		Work:  work,
-	}
-	if ff != nil {
-		res.FarA, res.FarF = ff.finalize()
-	}
-	return res, nil
+	return runSequential(spec, false, c), nil
 }

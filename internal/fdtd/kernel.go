@@ -18,29 +18,33 @@ type Fields struct {
 	Ca, Cb, Da, Db *grid.G3
 }
 
-// newFields allocates zeroed local fields for a block.  Coefficients
-// must be filled separately (locally or by host scatter).
+// newFields allocates zeroed local fields for a block.  The
+// coefficient grids stay nil until fillCoefficientsLocal or the host
+// scatter supplies them.
 func newFields(spec Spec, xr, yr grid.Range) *Fields {
-	mk := func(ghost int) *grid.G3 {
-		return grid.New3G(xr.Len(), yr.Len(), spec.NZ, ghost, ghost, 0)
+	mk := func() *grid.G3 {
+		return grid.New3G(xr.Len(), yr.Len(), spec.NZ, 1, 1, 0)
 	}
 	return &Fields{
 		Spec: spec, XR: xr, YR: yr,
-		Ex: mk(1), Ey: mk(1), Ez: mk(1),
-		Hx: mk(1), Hy: mk(1), Hz: mk(1),
-		Ca: mk(0), Cb: mk(0), Da: mk(0), Db: mk(0),
+		Ex: mk(), Ey: mk(), Ez: mk(),
+		Hx: mk(), Hy: mk(), Hz: mk(),
 	}
 }
 
-// fillCoefficientsLocal computes the update coefficients for the local
-// section directly from the spec (the "concurrent I/O" alternative to
-// host scattering: every process derives its own slice of the global
-// data).
+// fillCoefficientsLocal allocates the update coefficients for the
+// local section and computes them directly from the spec (the
+// "concurrent I/O" alternative to host scattering: every process
+// derives its own slice of the global data).
 // The loop is the documented example of the row-view idiom that
 // stencil and the cold paths use: take one Row per grid, re-slice the
 // rest to the first row's length so the compiler drops the per-element
 // bounds checks, and walk the contiguous z-run.
 func (f *Fields) fillCoefficientsLocal() {
+	mk := func() *grid.G3 {
+		return grid.New3G(f.XR.Len(), f.YR.Len(), f.Spec.NZ, 0, 0, 0)
+	}
+	f.Ca, f.Cb, f.Da, f.Db = mk(), mk(), mk(), mk()
 	for li := 0; li < f.Ca.NX(); li++ {
 		gi := f.XR.Lo + li
 		for lj := 0; lj < f.Ca.NY(); lj++ {
@@ -54,12 +58,6 @@ func (f *Fields) fillCoefficientsLocal() {
 			}
 		}
 	}
-}
-
-// setCoefficients installs externally provided (host-scattered)
-// coefficient grids; their shapes must match the block.
-func (f *Fields) setCoefficients(ca, cb, da, db *grid.G3) {
-	f.Ca, f.Cb, f.Da, f.Db = ca, cb, da, db
 }
 
 // addSource injects the step-n source value into the local Ez section.

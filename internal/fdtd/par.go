@@ -49,14 +49,26 @@ func DefaultOptions() Options {
 // RunArchetype executes the mesh-archetype build of the application on
 // p processes under the given runtime mode (mesh.Sim for the
 // sequential simulated-parallel version, mesh.Par for the real
-// parallel version) and returns the assembled result.
+// parallel version) and returns the assembled result.  The x axis is
+// split into p slabs: the py == 1 case of RunArchetype2D.
 func RunArchetype(spec Spec, p int, mode mesh.Mode, opt Options) (*Result, error) {
-	slabs, err := decompose(spec, p)
+	return RunArchetype2D(spec, p, 1, mode, opt)
+}
+
+// RunArchetype2D executes the mesh-archetype build of the application
+// on a px-by-py 2-D process grid (the x and y axes of the domain are
+// block-distributed; z stays whole).  This is the general form of the
+// archetype's data distribution; RunArchetype's 1-D slabs are the
+// special case py == 1.  Results are bitwise identical to the
+// sequential program's near field, with the far field's summation
+// reordered by the partition.
+func RunArchetype2D(spec Spec, px, py int, mode mesh.Mode, opt Options) (*Result, error) {
+	topo, err := decompose(spec, px, py)
 	if err != nil {
 		return nil, err
 	}
-	results, err := mesh.Run(p, mode, opt.Mesh, func(c *mesh.Comm) *Result {
-		return spmd(c, spec, slabs, opt)
+	results, err := mesh.Run(topo.P(), mode, opt.Mesh, func(c *mesh.Comm) *Result {
+		return spmd(c, spec, topo, opt, nil, spec.Steps)
 	})
 	if err != nil {
 		return nil, err
@@ -66,31 +78,52 @@ func RunArchetype(spec Spec, p int, mode mesh.Mode, opt Options) (*Result, error
 
 // SPMD is the per-process body of the archetype program, exported so
 // that experiment harnesses can execute it under arbitrary scheduling
-// policies (the determinacy experiment E4).  RunArchetype wires the
-// same body to the standard Sim and Par runtimes.
-func SPMD(c *mesh.Comm, spec Spec, slabs []grid.Slab, opt Options) *Result {
-	return spmd(c, spec, slabs, opt)
+// policies (the determinacy experiment E4).  topo is the process grid
+// (mesh.NewTopo2D(spec.NX, spec.NY, p, 1) for p slabs).  RunArchetype
+// wires the same body to the standard Sim and Par runtimes.
+func SPMD(c *mesh.Comm, spec Spec, topo *mesh.Topo2D, opt Options) *Result {
+	return spmd(c, spec, topo, opt, nil, spec.Steps)
 }
 
-// ownerOf returns the rank owning global x index i.
-func ownerOf(slabs []grid.Slab, i int) int {
-	for _, sl := range slabs {
-		if sl.R.Contains(i) {
-			return sl.Rank
+// decompose validates a spec/process-grid pair and returns the
+// topology every build of the application shares: px*py processes,
+// each owning an x-y block of the grid (z whole).
+func decompose(spec Spec, px, py int) (*mesh.Topo2D, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	if px <= 0 || py <= 0 || px > spec.NX || py > spec.NY {
+		return nil, fmt.Errorf("fdtd: cannot distribute %dx%d planes over %dx%d processes",
+			spec.NX, spec.NY, px, py)
+	}
+	topo := mesh.NewTopo2D(spec.NX, spec.NY, px, py)
+	if spec.Boundary == BoundaryMur1 {
+		// The Mur update reads the plane directly inside each face it
+		// owns, so the edge blocks need >= 2 planes along both axes.
+		for _, rs := range [][]grid.Range{topo.XRanges, topo.YRanges} {
+			if rs[0].Len() < 2 || rs[len(rs)-1].Len() < 2 {
+				return nil, fmt.Errorf("fdtd: Mur boundary requires the edge blocks to own >= 2 planes (%dx%d over %dx%d)",
+					spec.NX, spec.NY, px, py)
+			}
 		}
 	}
-	panic(fmt.Sprintf("fdtd: no slab owns x=%d", i))
+	return topo, nil
 }
 
 // spmd is the per-process body of the archetype program: alternating
 // local computation (grid operations) and archetype communication
 // (boundary exchanges, reductions, broadcast, host I/O redistribution),
-// exactly the structure the mesh archetype prescribes.
-func spmd(c *mesh.Comm, spec Spec, slabs []grid.Slab, opt Options) *Result {
+// exactly the structure the mesh archetype prescribes.  It runs steps
+// [0, until) from zero fields when start is nil; otherwise it runs
+// [start.StepsDone, until) from the checkpointed fields, with empty
+// far-field accumulators, so the reduced far field and work are that
+// segment's contribution only.
+func spmd(c *mesh.Comm, spec Spec, topo *mesh.Topo2D, opt Options, start *Checkpoint, until int) *Result {
 	rank := c.Rank()
-	sl := slabs[rank]
-	fullY := grid.Range{Lo: 0, Hi: spec.NY}
-	f := newFields(spec, sl.R, fullY)
+	xr, yr := topo.Block(rank)
+	rx, ry := topo.Coords(rank)
+	nz := spec.NZ
+	f := newFields(spec, xr, yr)
 
 	if opt.HostIO {
 		// Host process builds the global material-coefficient grids (as
@@ -98,28 +131,26 @@ func spmd(c *mesh.Comm, spec Spec, slabs []grid.Slab, opt Options) *Result {
 		// processes.
 		var gca, gcb, gda, gdb *grid.G3
 		if rank == 0 {
-			gca = grid.New3(spec.NX, spec.NY, spec.NZ, 0)
-			gcb = grid.New3(spec.NX, spec.NY, spec.NZ, 0)
-			gda = grid.New3(spec.NX, spec.NY, spec.NZ, 0)
-			gdb = grid.New3(spec.NX, spec.NY, spec.NZ, 0)
-			for i := 0; i < spec.NX; i++ {
-				for j := 0; j < spec.NY; j++ {
-					for k := 0; k < spec.NZ; k++ {
-						a, b, cc, d := spec.Coefficients(i, j, k)
-						gca.Set(i, j, k, a)
-						gcb.Set(i, j, k, b)
-						gda.Set(i, j, k, cc)
-						gdb.Set(i, j, k, d)
-					}
-				}
-			}
+			gca, gcb, gda, gdb = globalCoefficients(spec)
 		}
-		f.Ca = c.ScatterX(gca, slabs, 0, 0)
-		f.Cb = c.ScatterX(gcb, slabs, 0, 0)
-		f.Da = c.ScatterX(gda, slabs, 0, 0)
-		f.Db = c.ScatterX(gdb, slabs, 0, 0)
+		f.Ca = c.Scatter3DBlocks(gca, topo, nz, 0, 0, 0)
+		f.Cb = c.Scatter3DBlocks(gcb, topo, nz, 0, 0, 0)
+		f.Da = c.Scatter3DBlocks(gda, topo, nz, 0, 0, 0)
+		f.Db = c.Scatter3DBlocks(gdb, topo, nz, 0, 0, 0)
 	} else {
 		f.fillCoefficientsLocal()
+	}
+
+	first := 0
+	if start != nil {
+		// Host scatters the checkpointed field state straight into the
+		// ghosted local grids (only the host reads start's grids).
+		// Ghost planes start zero, but every ghost the kernels read is
+		// refreshed in-step by a boundary exchange before its first use.
+		first = start.StepsDone
+		scatter := func(g *grid.G3) *grid.G3 { return c.Scatter3DBlocks(g, topo, nz, 0, 1, 1) }
+		f.Ex, f.Ey, f.Ez = scatter(start.Ex), scatter(start.Ey), scatter(start.Ez)
+		f.Hx, f.Hy, f.Hz = scatter(start.Hx), scatter(start.Hy), scatter(start.Hz)
 	}
 
 	var ff *farField
@@ -128,66 +159,48 @@ func spmd(c *mesh.Comm, spec Spec, slabs []grid.Slab, opt Options) *Result {
 	}
 	var mur *murState
 	if spec.Boundary == BoundaryMur1 {
-		mur = newMurState(spec, sl.R, fullY)
+		// Mur history is not checkpointable, so Mur runs always start
+		// at step 0 and a fresh state is the right one.
+		mur = newMurState(spec, xr, yr)
 	}
-	probeOwner := ownerOf(slabs, spec.Probe[0])
-	// 1-D chain neighbours along x (-1 at the domain ends).
-	xUp, xDown := -1, -1
-	if rank < c.P()-1 {
-		xUp = rank + 1
-	}
-	if rank > 0 {
-		xDown = rank - 1
-	}
-	st := newStepper(c, spec, f, mur, ff, xUp, xDown, -1, -1, false, rank == probeOwner)
+	probeOwner := topo.Owner(spec.Probe[0], spec.Probe[1])
+	// Neighbour ranks along each axis (-1 where the domain ends).
+	st := newStepper(c, spec, f, mur, ff,
+		topo.Rank(rx+1, ry), topo.Rank(rx-1, ry), topo.Rank(rx, ry+1), topo.Rank(rx, ry-1),
+		rank == probeOwner)
 	defer st.close()
 
-	for n := 0; n < spec.Steps; n++ {
+	for n := first; n < until; n++ {
 		opt.Inject.Check(rank, n)
 		opt.Cancel.Check(rank, n)
 		st.step(n)
 	}
-	probeLocal := st.probe
-	localWork := st.work
 
 	// Far field: combine the per-process local double sums — one
 	// reduction at the end of the computation, as in §4.3.
-	var farA, farF []float64
+	res := &Result{Spec: spec}
 	if ff != nil {
 		a, fv := ff.finalize()
 		if opt.FarFieldCompensated {
 			// Rank-ordered combining keeps the result reproducible and
 			// the compensated partials keep it accurate.
-			farA = c.AllReduceVecAlg(a, mesh.OpSum, mesh.AllToOne)
-			farF = c.AllReduceVecAlg(fv, mesh.OpSum, mesh.AllToOne)
+			res.FarA = c.AllReduceVecAlg(a, mesh.OpSum, mesh.AllToOne)
+			res.FarF = c.AllReduceVecAlg(fv, mesh.OpSum, mesh.AllToOne)
 		} else {
-			farA = c.AllReduceVec(a, mesh.OpSum)
-			farF = c.AllReduceVec(fv, mesh.OpSum)
+			res.FarA = c.AllReduceVec(a, mesh.OpSum)
+			res.FarF = c.AllReduceVec(fv, mesh.OpSum)
 		}
 	}
 	// Re-establish copy consistency of the probe series (global data
 	// computed in one process only).
-	probe := c.BroadcastVec(probeLocal, probeOwner)
+	res.Probe = c.BroadcastVec(st.probe, probeOwner)
 	// Total work is a sum of integers, so the reduction is exact.
-	totalWork := c.AllReduce(localWork, mesh.OpSum)
+	res.Work = c.AllReduce(st.work, mesh.OpSum)
 
-	// Grid-to-host redistribution of the final fields (file output).
-	gex := c.GatherX(f.Ex, slabs, 0)
-	gey := c.GatherX(f.Ey, slabs, 0)
-	gez := c.GatherX(f.Ez, slabs, 0)
-	ghx := c.GatherX(f.Hx, slabs, 0)
-	ghy := c.GatherX(f.Hy, slabs, 0)
-	ghz := c.GatherX(f.Hz, slabs, 0)
-
-	res := &Result{
-		Spec:  spec,
-		Probe: probe,
-		FarA:  farA, FarF: farF,
-		Work: totalWork,
-	}
-	if rank == 0 {
-		res.Ex, res.Ey, res.Ez = gex, gey, gez
-		res.Hx, res.Hy, res.Hz = ghx, ghy, ghz
-	}
+	// Grid-to-host redistribution of the final fields (file output):
+	// the assembled grids land on the host, nil elsewhere.
+	gather := func(g *grid.G3) *grid.G3 { return c.Gather3DBlocks(g, topo, nz, 0) }
+	res.Ex, res.Ey, res.Ez = gather(f.Ex), gather(f.Ey), gather(f.Ez)
+	res.Hx, res.Hy, res.Hz = gather(f.Hx), gather(f.Hy), gather(f.Hz)
 	return res
 }

@@ -23,7 +23,6 @@ import (
 	"fmt"
 
 	"repro/internal/fault"
-	"repro/internal/grid"
 	"repro/internal/mesh"
 	"repro/internal/obs"
 )
@@ -73,12 +72,9 @@ type RecoveryReport struct {
 // returned after the restart budget would not help (deadlocks and real
 // panics are deterministic, so they are not retried).
 func RunWithRecovery(spec Spec, ro RecoveryOptions) (*RecoveryReport, error) {
-	if err := spec.Validate(); err != nil {
+	topo, err := decompose(spec, ro.P, 1)
+	if err != nil {
 		return nil, err
-	}
-	p := ro.P
-	if p <= 0 || p > spec.NX {
-		return nil, fmt.Errorf("fdtd: cannot distribute %d x-planes over %d processes", spec.NX, p)
 	}
 	every := ro.CheckpointEvery
 	if every <= 0 || every > spec.Steps {
@@ -96,7 +92,6 @@ func RunWithRecovery(spec Spec, ro RecoveryOptions) (*RecoveryReport, error) {
 	if maxRestarts == 0 {
 		maxRestarts = 3
 	}
-	slabs := grid.SlabDecompose3(spec.NX, spec.NY, spec.NZ, p, grid.AxisX)
 
 	// Checkpoint save/load runs host-side between segments; charge it to
 	// rank 0's lane so the run report shows what recovery costs.
@@ -130,7 +125,7 @@ func RunWithRecovery(spec Spec, ro RecoveryOptions) (*RecoveryReport, error) {
 		if until > spec.Steps {
 			until = spec.Steps
 		}
-		seg, err := runSegment(spec, p, slabs, ro.Opt, ckpt, until)
+		seg, err := runSegment(spec, topo, ro.Opt, ckpt, until)
 		if err != nil {
 			crash, injected := fault.AsCrash(err)
 			if !injected || rep.Restarts >= maxRestarts {
@@ -165,15 +160,7 @@ func RunWithRecovery(spec Spec, ro RecoveryOptions) (*RecoveryReport, error) {
 		}
 	}
 
-	res := &Result{
-		Spec: spec,
-		Ex:   ckpt.Ex, Ey: ckpt.Ey, Ez: ckpt.Ez,
-		Hx: ckpt.Hx, Hy: ckpt.Hy, Hz: ckpt.Hz,
-		Probe: ckpt.Probe,
-		FarA:  ckpt.FarA, FarF: ckpt.FarF,
-		Work: ckpt.Work,
-	}
-	rep.Result = res
+	rep.Result = ckpt.result()
 	return rep, nil
 }
 
@@ -181,139 +168,14 @@ func RunWithRecovery(spec Spec, ro RecoveryOptions) (*RecoveryReport, error) {
 // runtime and returns the host's view of the segment: the gathered
 // fields at step `until`, plus the segment's probe samples, far-field
 // contributions, and work, as deltas for mergeSegment.
-func runSegment(spec Spec, p int, slabs []grid.Slab, opt Options, start *Checkpoint, until int) (*Checkpoint, error) {
-	results, err := mesh.Run(p, mesh.Par, opt.Mesh, func(c *mesh.Comm) *Checkpoint {
-		return spmdSegment(c, spec, slabs, opt, start, until)
+func runSegment(spec Spec, topo *mesh.Topo2D, opt Options, start *Checkpoint, until int) (*Checkpoint, error) {
+	results, err := mesh.Run(topo.P(), mesh.Par, opt.Mesh, func(c *mesh.Comm) *Result {
+		return spmd(c, spec, topo, opt, start, until)
 	})
 	if err != nil {
 		return nil, err
 	}
-	return results[0], nil
-}
-
-// spmdSegment is the per-process body of one checkpointed segment.  It
-// is spmd restricted to steps [start.StepsDone, until): the host
-// scatters the checkpointed fields instead of starting from zero, and
-// the far-field accumulators start empty, so the reduced vectors are
-// this segment's contribution only.
-func spmdSegment(c *mesh.Comm, spec Spec, slabs []grid.Slab, opt Options, start *Checkpoint, until int) *Checkpoint {
-	rank := c.Rank()
-	sl := slabs[rank]
-	fullY := grid.Range{Lo: 0, Hi: spec.NY}
-	f := newFields(spec, sl.R, fullY)
-
-	if opt.HostIO {
-		var gca, gcb, gda, gdb *grid.G3
-		if rank == 0 {
-			gca = grid.New3(spec.NX, spec.NY, spec.NZ, 0)
-			gcb = grid.New3(spec.NX, spec.NY, spec.NZ, 0)
-			gda = grid.New3(spec.NX, spec.NY, spec.NZ, 0)
-			gdb = grid.New3(spec.NX, spec.NY, spec.NZ, 0)
-			for i := 0; i < spec.NX; i++ {
-				for j := 0; j < spec.NY; j++ {
-					for k := 0; k < spec.NZ; k++ {
-						a, b, cc, d := spec.Coefficients(i, j, k)
-						gca.Set(i, j, k, a)
-						gcb.Set(i, j, k, b)
-						gda.Set(i, j, k, cc)
-						gdb.Set(i, j, k, d)
-					}
-				}
-			}
-		}
-		f.Ca = c.ScatterX(gca, slabs, 0, 0)
-		f.Cb = c.ScatterX(gcb, slabs, 0, 0)
-		f.Da = c.ScatterX(gda, slabs, 0, 0)
-		f.Db = c.ScatterX(gdb, slabs, 0, 0)
-	} else {
-		f.fillCoefficientsLocal()
-	}
-
-	// Host scatters the checkpointed field state; each rank copies its
-	// interior section into the ghosted local grids.  Ghost planes start
-	// stale, but every ghost the kernels read is refreshed in-step by a
-	// boundary exchange before its first use.
-	type pair struct {
-		global *grid.G3 // host side (rank 0 only)
-		local  *grid.G3
-	}
-	var pairs [6]pair
-	pairs[0].local, pairs[1].local, pairs[2].local = f.Ex, f.Ey, f.Ez
-	pairs[3].local, pairs[4].local, pairs[5].local = f.Hx, f.Hy, f.Hz
-	if rank == 0 {
-		pairs[0].global, pairs[1].global, pairs[2].global = start.Ex, start.Ey, start.Ez
-		pairs[3].global, pairs[4].global, pairs[5].global = start.Hx, start.Hy, start.Hz
-	}
-	for _, pr := range pairs {
-		sec := c.ScatterX(pr.global, slabs, 0, 0)
-		for li := 0; li < sl.R.Len(); li++ {
-			for lj := 0; lj < spec.NY; lj++ {
-				copy(pr.local.Pencil(li, lj), sec.Pencil(li, lj))
-			}
-		}
-	}
-
-	var ff *farField
-	if spec.IsVersionC() {
-		ff = newFarField(spec, opt.FarFieldCompensated)
-	}
-	var mur *murState
-	if spec.Boundary == BoundaryMur1 {
-		// Callers guarantee start.StepsDone == 0 here (Mur history is
-		// not checkpointable), so a fresh state is the right one.
-		mur = newMurState(spec, sl.R, fullY)
-	}
-	probeOwner := ownerOf(slabs, spec.Probe[0])
-	xUp, xDown := -1, -1
-	if rank < c.P()-1 {
-		xUp = rank + 1
-	}
-	if rank > 0 {
-		xDown = rank - 1
-	}
-	st := newStepper(c, spec, f, mur, ff, xUp, xDown, -1, -1, false, rank == probeOwner)
-	defer st.close()
-
-	for n := start.StepsDone; n < until; n++ {
-		opt.Inject.Check(rank, n)
-		opt.Cancel.Check(rank, n)
-		st.step(n)
-	}
-	probeLocal := st.probe
-	localWork := st.work
-
-	var farA, farF []float64
-	if ff != nil {
-		a, fv := ff.finalize()
-		if opt.FarFieldCompensated {
-			farA = c.AllReduceVecAlg(a, mesh.OpSum, mesh.AllToOne)
-			farF = c.AllReduceVecAlg(fv, mesh.OpSum, mesh.AllToOne)
-		} else {
-			farA = c.AllReduceVec(a, mesh.OpSum)
-			farF = c.AllReduceVec(fv, mesh.OpSum)
-		}
-	}
-	probe := c.BroadcastVec(probeLocal, probeOwner)
-	workDelta := c.AllReduce(localWork, mesh.OpSum)
-
-	gex := c.GatherX(f.Ex, slabs, 0)
-	gey := c.GatherX(f.Ey, slabs, 0)
-	gez := c.GatherX(f.Ez, slabs, 0)
-	ghx := c.GatherX(f.Hx, slabs, 0)
-	ghy := c.GatherX(f.Hy, slabs, 0)
-	ghz := c.GatherX(f.Hz, slabs, 0)
-
-	if rank != 0 {
-		return nil
-	}
-	return &Checkpoint{
-		Spec: spec, StepsDone: until,
-		Ex: gex, Ey: gey, Ez: gez,
-		Hx: ghx, Hy: ghy, Hz: ghz,
-		Probe: probe,
-		FarA:  farA, FarF: farF,
-		Work: workDelta,
-	}
+	return results[0].checkpoint(until), nil
 }
 
 // mergeSegment folds one segment's host view into the running
@@ -348,17 +210,14 @@ func addInto(dst, src []float64) []float64 {
 // is the parallel counterpart of ResumeSequential.
 func ResumeArchetype(c *Checkpoint, p int, opt Options) (*Result, error) {
 	spec := c.Spec
-	if err := spec.Validate(); err != nil {
+	topo, err := decompose(spec, p, 1)
+	if err != nil {
 		return nil, err
 	}
 	if spec.Boundary == BoundaryMur1 && c.StepsDone > 0 {
 		return nil, errors.New("fdtd: resuming Mur-boundary runs mid-stream is not supported")
 	}
-	if p <= 0 || p > spec.NX {
-		return nil, fmt.Errorf("fdtd: cannot distribute %d x-planes over %d processes", spec.NX, p)
-	}
-	slabs := grid.SlabDecompose3(spec.NX, spec.NY, spec.NZ, p, grid.AxisX)
-	seg, err := runSegment(spec, p, slabs, opt, c, spec.Steps)
+	seg, err := runSegment(spec, topo, opt, c, spec.Steps)
 	if err != nil {
 		return nil, err
 	}
@@ -370,12 +229,5 @@ func ResumeArchetype(c *Checkpoint, p int, opt Options) (*Result, error) {
 		Work:  c.Work,
 	}
 	mergeSegment(final, seg)
-	return &Result{
-		Spec: spec,
-		Ex:   final.Ex, Ey: final.Ey, Ez: final.Ez,
-		Hx: final.Hx, Hy: final.Hy, Hz: final.Hz,
-		Probe: final.Probe,
-		FarA:  final.FarA, FarF: final.FarF,
-		Work: final.Work,
-	}, nil
+	return final.result(), nil
 }

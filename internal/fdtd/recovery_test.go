@@ -168,6 +168,30 @@ func TestResumeArchetype(t *testing.T) {
 	}
 }
 
+// TestRecoveryRejectsThinMurSlabs: the recovery and resume entry points
+// share RunArchetype's decomposition check, so a Mur spec whose edge
+// slabs would own a single x-plane (P == NX) is refused by all three
+// with the same error rather than run to a wrong near field.
+func TestRecoveryRejectsThinMurSlabs(t *testing.T) {
+	spec := SpecSmall()
+	spec.Boundary = BoundaryMur1
+	p := spec.NX
+	_, want := RunArchetype(spec, p, mesh.Sim, DefaultOptions())
+	if want == nil {
+		t.Fatal("RunArchetype must reject one-plane edge slabs under Mur")
+	}
+	if _, err := RunWithRecovery(spec, RecoveryOptions{P: p, Opt: DefaultOptions()}); err == nil || err.Error() != want.Error() {
+		t.Fatalf("RunWithRecovery: got error %v, want %v", err, want)
+	}
+	ck, err := NewCheckpoint(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ResumeArchetype(ck, p, DefaultOptions()); err == nil || err.Error() != want.Error() {
+		t.Fatalf("ResumeArchetype: got error %v, want %v", err, want)
+	}
+}
+
 // TestRecoveryResume drives the -resume workflow: a run cut short by an
 // exhausted restart budget leaves a checkpoint file behind, and a new
 // RunWithRecovery with Resume finishes the job with identical results.

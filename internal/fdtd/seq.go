@@ -118,17 +118,18 @@ func RunSequentialOpts(spec Spec, compensated bool) (*Result, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
+	return runSequential(spec, compensated, nil), nil
+}
+
+// globalCoefficients builds the four update-coefficient grids over the
+// whole domain — the sequential program's input, and the host's data
+// in the archetype builds' host I/O.
+func globalCoefficients(spec Spec) (ca, cb, da, db *grid.G3) {
 	nx, ny, nz := spec.NX, spec.NY, spec.NZ
-	ex := grid.New3(nx, ny, nz, 0)
-	ey := grid.New3(nx, ny, nz, 0)
-	ez := grid.New3(nx, ny, nz, 0)
-	hx := grid.New3(nx, ny, nz, 0)
-	hy := grid.New3(nx, ny, nz, 0)
-	hz := grid.New3(nx, ny, nz, 0)
-	ca := grid.New3(nx, ny, nz, 0)
-	cb := grid.New3(nx, ny, nz, 0)
-	da := grid.New3(nx, ny, nz, 0)
-	db := grid.New3(nx, ny, nz, 0)
+	ca = grid.New3(nx, ny, nz, 0)
+	cb = grid.New3(nx, ny, nz, 0)
+	da = grid.New3(nx, ny, nz, 0)
+	db = grid.New3(nx, ny, nz, 0)
 	for i := 0; i < nx; i++ {
 		for j := 0; j < ny; j++ {
 			for k := 0; k < nz; k++ {
@@ -140,19 +141,43 @@ func RunSequentialOpts(spec Spec, compensated bool) (*Result, error) {
 			}
 		}
 	}
+	return ca, cb, da, db
+}
+
+// runSequential is the body of the sequential program.  It runs steps
+// [0, spec.Steps) from zero fields when start is nil; otherwise it
+// continues a copy of the checkpointed state from start.StepsDone, so
+// a resumed run is bitwise identical to an uninterrupted one.  The
+// caller validates spec (and refuses mid-run Mur checkpoints, whose
+// boundary history is not saved).
+func runSequential(spec Spec, compensated bool, start *Checkpoint) *Result {
+	nx, ny, nz := spec.NX, spec.NY, spec.NZ
+	var ex, ey, ez, hx, hy, hz *grid.G3
+	first, probe, work := 0, make([]float64, 0, spec.Steps), 0.0
+	if start == nil {
+		zero := func() *grid.G3 { return grid.New3(nx, ny, nz, 0) }
+		ex, ey, ez, hx, hy, hz = zero(), zero(), zero(), zero(), zero(), zero()
+	} else {
+		ex, ey, ez = start.Ex.Clone(), start.Ey.Clone(), start.Ez.Clone()
+		hx, hy, hz = start.Hx.Clone(), start.Hy.Clone(), start.Hz.Clone()
+		first, probe, work = start.StepsDone, append(probe, start.Probe...), start.Work
+	}
+	ca, cb, da, db := globalCoefficients(spec)
 
 	var ff *farField
 	if spec.IsVersionC() {
 		ff = newFarField(spec, compensated)
+		if start != nil {
+			copy(ff.A, start.FarA)
+			copy(ff.F, start.FarF)
+		}
 	}
 	var mur *murState
 	if spec.Boundary == BoundaryMur1 {
 		mur = newMurState(spec, grid.Range{Lo: 0, Hi: nx}, grid.Range{Lo: 0, Hi: ny})
 	}
-	probe := make([]float64, 0, spec.Steps)
-	work := 0.0
 
-	for n := 0; n < spec.Steps; n++ {
+	for n := first; n < spec.Steps; n++ {
 		if mur != nil {
 			mur.snapshot(ey, ez, ex)
 		}
@@ -235,7 +260,7 @@ func RunSequentialOpts(spec Spec, compensated bool) (*Result, error) {
 	if ff != nil {
 		res.FarA, res.FarF = ff.finalize()
 	}
-	return res, nil
+	return res
 }
 
 // String summarises a result for diagnostics.

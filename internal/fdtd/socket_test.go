@@ -16,23 +16,38 @@ import (
 // bar for the scale-out transport: changing the wire must not change a
 // single bit of the physics.
 func TestSocketBackendIdentity(t *testing.T) {
+	// The twoD cases go through RunArchetype2D; its 2x2 blocks also
+	// exchange along y.
+	cases := []struct {
+		px, py int
+		twoD   bool
+	}{{1, 1, false}, {2, 1, false}, {4, 1, false}, {2, 1, true}, {2, 2, true}}
 	for _, spec := range []Spec{SpecSmallA(), SpecSmall()} {
 		seq := mustSeq(t, spec)
-		for _, p := range []int{1, 2, 4} {
-			tr, err := channel.NewLoopbackMesh(p, "tcp", mesh.WireCodec(), channel.SocketOptions{})
+		for _, tc := range cases {
+			name := fmt.Sprintf("ffield=%v %dx%d socket", spec.IsVersionC(), tc.px, tc.py)
+			tr, err := channel.NewLoopbackMesh(tc.px*tc.py, "tcp", mesh.WireCodec(), channel.SocketOptions{})
 			if err != nil {
-				t.Fatalf("p=%d loopback: %v", p, err)
+				t.Fatalf("%s: loopback: %v", name, err)
 			}
 			opt := DefaultOptions()
 			opt.Mesh.Transport = tr
-			res := mustArch(t, spec, p, mesh.Par, opt)
+			var res *Result
+			if tc.twoD {
+				res, err = RunArchetype2D(spec, tc.px, tc.py, mesh.Par, opt)
+			} else {
+				res, err = RunArchetype(spec, tc.px, mesh.Par, opt)
+			}
 			tr.Close()
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
 			if !seq.NearFieldEqual(res) {
-				t.Fatalf("ffield=%v p=%d socket: near field differs from sequential", spec.IsVersionC(), p)
+				t.Fatalf("%s: near field differs from sequential", name)
 			}
 			for i := range seq.Probe {
 				if seq.Probe[i] != res.Probe[i] {
-					t.Fatalf("ffield=%v p=%d socket: probe[%d] differs", spec.IsVersionC(), p, i)
+					t.Fatalf("%s: probe[%d] differs", name, i)
 				}
 			}
 		}

@@ -1,11 +1,11 @@
 package fdtd
 
-// The per-step fast path shared by every distributed build (1-D slabs,
-// 2-D blocks, checkpointed segments).  A stepper owns the hoisted
-// exchange groups (so the hot loop passes preexisting slices through
-// the variadic exchange calls without allocating), the per-rank tile
-// pool, and the probe/work accumulators; step(n) advances the local
-// section one leapfrog step.
+// The per-step fast path of spmd, the one distributed body, which
+// serves 1-D slabs, 2-D blocks and checkpointed segments alike.  A
+// stepper owns the hoisted exchange groups (so the hot loop passes
+// preexisting slices through the variadic exchange calls without
+// allocating), the per-rank tile pool, and the probe/work
+// accumulators; step(n) advances the local section one leapfrog step.
 //
 // Two schedules, bitwise identical by construction:
 //
@@ -71,17 +71,20 @@ func resolveWorkers(opt mesh.Options) int {
 	return opt.Workers
 }
 
-// newStepper prepares the per-rank step state.  yUp/yDown are -1 (and
-// exchangeY false) for 1-D slab decompositions.  The caller must call
-// close when stepping is done, or the tile workers leak.
+// newStepper prepares the per-rank step state.  Neighbour ranks are -1
+// where the domain ends; a rank with no y neighbour (every rank of a
+// 1-D slab decomposition) makes no y-axis exchange calls at all, so a
+// slab run pays no extra flush or phase span for the unused axis.  The
+// caller must call close when stepping is done, or the tile workers
+// leak.
 func newStepper(c *mesh.Comm, spec Spec, f *Fields, mur *murState, ff *farField,
-	xUp, xDown, yUp, yDown int, exchangeY, probeOwner bool) *stepper {
+	xUp, xDown, yUp, yDown int, probeOwner bool) *stepper {
 	opt := c.Options()
 	return &stepper{
 		c: c, spec: spec, f: f,
 		tp:        newTilePool(resolveWorkers(opt)),
 		overlap:   opt.Overlap,
-		exchangeY: exchangeY,
+		exchangeY: yUp >= 0 || yDown >= 0,
 		xUp:       xUp, xDown: xDown, yUp: yUp, yDown: yDown,
 		eX:  []*grid.G3{f.Hy, f.Hz},
 		eY:  []*grid.G3{f.Hx, f.Hz},

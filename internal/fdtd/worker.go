@@ -1,32 +1,9 @@
 package fdtd
 
 import (
-	"fmt"
-
 	"repro/internal/channel"
-	"repro/internal/grid"
 	"repro/internal/mesh"
 )
-
-// decompose validates the spec/process-count pair and returns the slab
-// decomposition every build of the application shares.
-func decompose(spec Spec, p int) ([]grid.Slab, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	if p <= 0 || p > spec.NX {
-		return nil, fmt.Errorf("fdtd: cannot distribute %d x-planes over %d processes", spec.NX, p)
-	}
-	slabs := grid.SlabDecompose3(spec.NX, spec.NY, spec.NZ, p, grid.AxisX)
-	if spec.Boundary == BoundaryMur1 {
-		// The x-face Mur update reads the plane directly inside the
-		// boundary, so the first and last slab must own both.
-		if slabs[0].R.Len() < 2 || slabs[p-1].R.Len() < 2 {
-			return nil, fmt.Errorf("fdtd: Mur boundary requires the edge slabs to own >= 2 planes (nx=%d, p=%d)", spec.NX, p)
-		}
-	}
-	return slabs, nil
-}
 
 // ValidateForP reports the first problem with running spec distributed
 // over p processes: an invalid spec, too many processes for the grid,
@@ -34,7 +11,7 @@ func decompose(spec Spec, p int) ([]grid.Slab, error) {
 // admission-time check of the job service — the exact predicate the
 // workers apply, so an admitted job cannot fail decomposition later.
 func ValidateForP(spec Spec, p int) error {
-	_, err := decompose(spec, p)
+	_, err := decompose(spec, p, 1)
 	return err
 }
 
@@ -45,11 +22,11 @@ func ValidateForP(spec Spec, p int) error {
 // probe series and reductions.  By Theorem 1 all of it is bitwise
 // identical to the same rank's slice of a RunArchetype run.
 func RunArchetypeWorker(spec Spec, rank int, tr channel.Transport[mesh.Msg], opt Options) (*Result, error) {
-	slabs, err := decompose(spec, tr.P())
+	topo, err := decompose(spec, tr.P(), 1)
 	if err != nil {
 		return nil, err
 	}
 	return mesh.RunWorker(rank, tr, opt.Mesh, func(c *mesh.Comm) *Result {
-		return spmd(c, spec, slabs, opt)
+		return spmd(c, spec, topo, opt, nil, spec.Steps)
 	})
 }

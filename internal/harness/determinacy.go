@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/fdtd"
-	"repro/internal/grid"
 	"repro/internal/mesh"
 	"repro/internal/sched"
 )
@@ -44,7 +43,7 @@ func RunDeterminacy(spec fdtd.Spec, p, parReps int) (*DeterminacyReport, error) 
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	slabs := grid.SlabDecompose3(spec.NX, spec.NY, spec.NZ, p, grid.AxisX)
+	topo := mesh.NewTopo2D(spec.NX, spec.NY, p, 1)
 	opt := fdtd.DefaultOptions()
 	rep := &DeterminacyReport{Spec: spec, P: p}
 	var ref *fdtd.Result
@@ -66,7 +65,7 @@ func RunDeterminacy(spec fdtd.Spec, p, parReps int) (*DeterminacyReport, error) 
 
 	for _, pol := range sched.DefaultPolicies(4) {
 		results, err := mesh.RunControlledPolicy(p, pol, opt.Mesh, func(c *mesh.Comm) *fdtd.Result {
-			return fdtdSPMD(c, spec, slabs, opt)
+			return fdtdSPMD(c, spec, topo, opt)
 		})
 		if err != nil {
 			return nil, fmt.Errorf("harness: policy %s: %w", pol.Name(), err)
@@ -87,6 +86,6 @@ func RunDeterminacy(spec fdtd.Spec, p, parReps int) (*DeterminacyReport, error) 
 // runs.  fdtd.RunArchetype wires the same body to the Sim/Par runtimes;
 // re-running it here under arbitrary policies is what makes E4 a test
 // of Theorem 1 rather than of one fixed schedule.
-func fdtdSPMD(c *mesh.Comm, spec fdtd.Spec, slabs []grid.Slab, opt fdtd.Options) *fdtd.Result {
-	return fdtd.SPMD(c, spec, slabs, opt)
+func fdtdSPMD(c *mesh.Comm, spec fdtd.Spec, topo *mesh.Topo2D, opt fdtd.Options) *fdtd.Result {
+	return fdtd.SPMD(c, spec, topo, opt)
 }

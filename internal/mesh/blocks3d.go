@@ -8,8 +8,11 @@ import (
 )
 
 // Host/grid redistribution of 3-D grids distributed over a 2-D process
-// topology (x and y split, z whole): the file-I/O pattern for the
-// 2-D-decomposed builds of the FDTD application.
+// topology (x and y split, z whole): the file-I/O pattern of the FDTD
+// application.  A 1-D x-slab distribution is the topology with PY == 1.
+// Each operation moves one message per process and grid, and flushes
+// its send section, so socket peers see the data before the sender
+// blocks.
 
 // packLocal3Into serialises a local section's interior, x-major then
 // y-major then z, into dst (length NX*NY*NZ, typically pooled).
@@ -71,6 +74,7 @@ func (c *Comm) Gather3DBlocks(local *grid.G3, t *Topo2D, nz, root int) *grid.G3 
 		buf := getBuf(local.NX() * local.NY() * local.NZ())
 		packLocal3Into(local, buf)
 		c.sendOwned(root, buf)
+		c.flush()
 		return nil
 	}
 	// The preallocated global grid is the full receive area; the own
@@ -133,6 +137,7 @@ func (c *Comm) Scatter3DBlocks(global *grid.G3, t *Topo2D, nz, root, gx, gy int)
 			}
 			c.sendOwned(dst, buf)
 		}
+		c.flush()
 		local := mkLocal(r)
 		xr, yr := t.Block(r)
 		copyBlockOut(local, global, xr, yr)

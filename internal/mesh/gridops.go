@@ -118,84 +118,6 @@ func (c *Comm) recvPlanes(from, w int, deliver func(k int, data []float64)) {
 	}
 }
 
-// GatherX collects the distributed slabs of a 3-D grid onto the root
-// process (the archetype's grid-to-host redistribution for file
-// output).  It returns the assembled global grid on root and nil on
-// every other process.  slabs must be the decomposition used to build
-// the local sections.
-func (c *Comm) GatherX(local *grid.G3, slabs []grid.Slab, root int) *grid.G3 {
-	p, r := c.P(), c.Rank()
-	if len(slabs) != p {
-		panic(fmt.Sprintf("mesh: %d slabs for %d processes", len(slabs), p))
-	}
-	c.beginPhase(obs.PhaseIO, "gather")
-	defer c.endPhase("gather")
-	if r != root {
-		c.sendPlanes(root, local.NX(), local.PlaneSize(grid.AxisX),
-			func(k int, dst []float64) { local.PackPlaneX(k, dst) })
-		c.flush()
-		return nil
-	}
-	s := slabs[r]
-	global := grid.New3(s.NX, s.NY, s.NZ, 0)
-	// Own slab directly, no serialisation.
-	for k := 0; k < local.NX(); k++ {
-		global.CopyPlaneX(s.ToGlobal(k), local, k)
-	}
-	// Remote slabs in rank order.
-	for src := 0; src < p; src++ {
-		if src == root {
-			continue
-		}
-		sl := slabs[src]
-		c.recvPlanes(src, sl.LocalNX(), func(k int, data []float64) {
-			global.UnpackPlaneX(sl.ToGlobal(k), data)
-		})
-	}
-	return global
-}
-
-// ScatterX distributes a global 3-D grid held by root into per-process
-// local sections with the given ghost width along x (the archetype's
-// host-to-grid redistribution for file input).  Every process returns
-// its local section; global is only read on root.
-func (c *Comm) ScatterX(global *grid.G3, slabs []grid.Slab, root, ghost int) *grid.G3 {
-	p, r := c.P(), c.Rank()
-	if len(slabs) != p {
-		panic(fmt.Sprintf("mesh: %d slabs for %d processes", len(slabs), p))
-	}
-	c.beginPhase(obs.PhaseIO, "scatter")
-	defer c.endPhase("scatter")
-	if r == root {
-		if global == nil {
-			panic("mesh: ScatterX requires the global grid on root")
-		}
-		size := global.PlaneSize(grid.AxisX)
-		for dst := 0; dst < p; dst++ {
-			if dst == root {
-				continue
-			}
-			sl := slabs[dst]
-			c.sendPlanes(dst, sl.LocalNX(), size, func(k int, buf []float64) {
-				global.PackPlaneX(sl.ToGlobal(k), buf)
-			})
-		}
-		c.flush()
-		sl := slabs[r]
-		local := sl.NewLocal3(ghost)
-		for k := 0; k < sl.LocalNX(); k++ {
-			local.CopyPlaneX(k, global, sl.ToGlobal(k))
-		}
-		return local
-	}
-	sl := slabs[r]
-	local := sl.NewLocal3(ghost)
-	c.recvPlanes(root, sl.LocalNX(), func(k int, data []float64) {
-		local.UnpackPlaneX(k, data)
-	})
-	return local
-}
-
 // GatherRows collects a 2-D grid distributed by rows onto root,
 // returning the global grid on root and nil elsewhere.  ranges is the
 // x decomposition (grid.Decompose of the global NX).

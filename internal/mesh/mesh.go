@@ -23,8 +23,9 @@
 // boundary exchange (ExchangeGhostRows / ExchangeGhostPlanesX),
 // broadcast of global data (Broadcast, BroadcastVec), reductions
 // (AllReduce, AllReduceVec, with recursive-doubling and all-to-one
-// algorithms), and host↔grid redistribution for file I/O (GatherX,
-// ScatterX, GatherRows, ScatterRows).
+// algorithms), and host↔grid redistribution for file I/O (GatherRows,
+// ScatterRows for 2-D grids; Gather3DBlocks, Scatter3DBlocks for 3-D
+// grids over a Topo2D, whose PY == 1 case is the 1-D x-slab layout).
 package mesh
 
 import (

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -302,10 +303,20 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.m.writeText(w, len(s.pool.queue), cap(s.pool.queue), s.cfg.Workers, s.cache.len(), s.cache.evicted())
 }
 
+// writeJSON encodes v before anything is written, so a value JSON
+// cannot carry (a NaN or infinity in a result) answers 500 with kind
+// "encode" rather than a 200 with an empty body.  The body is the
+// encoder's output, trailing newline included.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		status = http.StatusInternalServerError
+		buf.Reset()
+		json.NewEncoder(&buf).Encode(errorResponse{Kind: "encode", Error: fmt.Sprintf("encode response: %v", err)})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	w.Write(buf.Bytes())
 }
 
 func writeError(w http.ResponseWriter, status int, kind string, err error) {

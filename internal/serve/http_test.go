@@ -1,9 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -420,4 +423,37 @@ func mustParseFP(t *testing.T, s string) uint64 {
 		t.Fatal(err)
 	}
 	return fp
+}
+
+// TestWriteJSONNonFinite: a cached result holding a NaN cannot be
+// encoded, so the handler must answer a typed 500 instead of a 200 with
+// an empty body; an encodable value keeps the encoder's exact bytes.
+func TestWriteJSONNonFinite(t *testing.T) {
+	s := newTestServer(t, Config{P: 2, Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	const fp = 0x1234
+	s.cache.put(fp, &JobResult{Fingerprint: fingerprintString(fp), Probe: []float64{1, math.NaN()}})
+	resp, err := http.Get(fmt.Sprintf("%s/v1/cache/%016x", ts.URL, fp))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500; body %q", resp.StatusCode, body)
+	}
+	var e errorResponse
+	if err := json.Unmarshal(body, &e); err != nil || e.Kind != "encode" {
+		t.Fatalf("error body %q, want kind encode", body)
+	}
+
+	ok := JobResult{Fingerprint: "x", Probe: []float64{0.1, -2}, Work: 3}
+	var want bytes.Buffer
+	json.NewEncoder(&want).Encode(ok)
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, ok)
+	if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want.Bytes()) {
+		t.Fatalf("writeJSON = %d %q, want 200 %q", rec.Code, rec.Body.Bytes(), want.Bytes())
+	}
 }
